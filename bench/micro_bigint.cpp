@@ -17,12 +17,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <random>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -258,6 +260,69 @@ void runSeries(const Pools& pools, int rounds, SeriesResult (&best)[kSeriesCount
   }
 }
 
+// ---------------------------------------------------------------------------
+// BENCH_bigint.json "multilimb": the wide-operand gcd.
+// ---------------------------------------------------------------------------
+
+struct MultiLimbSpec {
+  const char* name;
+  std::size_t bits;
+  std::size_t iters;
+  double baselineNs;     // fused-pass predecessor (per-round BigInt products)
+  double baselineAllocs; // its allocs/op
+};
+
+/// Operand widths bracket the content gcd of exact simulations: GSE 3+3
+/// coefficients reach ~520 bits, Grover-14 ~1200.  Baselines: this harness
+/// linked against the library before the fused Lehmer cofactor pass (-O3,
+/// best of 3 rounds, same 4-vCPU host as the checked-in baseline file).
+constexpr MultiLimbSpec kMultiLimb[] = {
+    {"gcd_512", 512, 20000, 18967.0, 256.406},
+    {"gcd_1216", 1216, 5000, 66714.0, 645.26},
+};
+constexpr std::size_t kMultiLimbCount = sizeof(kMultiLimb) / sizeof(kMultiLimb[0]);
+
+/// Pairs of `bits`-wide operands sharing a planted odd 31-bit factor, so
+/// every gcd runs the full Lehmer descent and ends on a non-trivial result
+/// that still fits a machine word.  (A gcd wider than 64 bits ends in one
+/// exact multi-limb division, a fixed three more allocations per call.)
+std::vector<std::pair<BigInt, BigInt>> multiLimbPool(std::size_t bits) {
+  std::mt19937_64 rng(bits);
+  const auto cofactor = [&rng](std::size_t width) {
+    BigInt value{1};
+    for (std::size_t produced = 1; produced < width;) {
+      const std::size_t chunk = std::min<std::size_t>(31, width - produced);
+      value = value.shiftLeft(chunk) + BigInt{static_cast<std::int64_t>(rng() >> (64 - chunk))};
+      produced += chunk;
+    }
+    return value;
+  };
+  std::vector<std::pair<BigInt, BigInt>> pool;
+  for (int i = 0; i < 64; ++i) {
+    const BigInt g{static_cast<std::int64_t>((rng() >> 33) | 1)};
+    pool.emplace_back(g * cofactor(bits - 31), g * cofactor(bits - 31));
+  }
+  return pool;
+}
+
+/// Best ns/op of `rounds` rounds per width (allocs/op is deterministic).
+void runMultiLimb(int rounds, SeriesResult (&best)[kMultiLimbCount]) {
+  for (std::size_t i = 0; i < kMultiLimbCount; ++i) {
+    const auto pool = multiLimbPool(kMultiLimb[i].bits);
+    volatile std::int64_t sink = 0;
+    for (int round = 0; round < rounds; ++round) {
+      const SeriesResult current = measure(kMultiLimb[i].iters, [&](std::size_t j) {
+        const auto& [a, b] = pool[j % pool.size()];
+        sink = sink + static_cast<std::int64_t>(BigInt::gcd(a, b).bitLength());
+      });
+      if (round == 0 || current.nsPerOp < best[i].nsPerOp) {
+        best[i].nsPerOp = current.nsPerOp;
+      }
+      best[i].allocsPerOp = current.allocsPerOp;
+    }
+  }
+}
+
 void writeBenchBigint(const char* path) {
   constexpr int kRounds = 3;
   Pools pools;
@@ -272,6 +337,9 @@ void writeBenchBigint(const char* path) {
   SeriesResult spill[kSeriesCount];
   runSeries(pools, kRounds, spill);
   qadd::detail::setSmallFastPaths(hadFastPaths);
+
+  SeriesResult multiLimb[kMultiLimbCount];
+  runMultiLimb(kRounds, multiLimb);
 
   std::ofstream os(path);
   if (!os) {
@@ -296,6 +364,22 @@ void writeBenchBigint(const char* path) {
        << (fast[i].nsPerOp > 0.0 ? spec.baselineNs / fast[i].nsPerOp : 0.0)
        << ",\"spillNsPerOp\":" << spill[i].nsPerOp
        << ",\"spillAllocsPerOp\":" << spill[i].allocsPerOp << "}";
+  }
+  // Wide operands live under their own key: every "series" entry is a
+  // small-operand op expected to allocate nothing, while the wide gcd
+  // allocates its working buffers (a fixed count, whatever the width).
+  os << "},\"multilimb\":{";
+  for (std::size_t i = 0; i < kMultiLimbCount; ++i) {
+    if (i != 0) {
+      os << ",";
+    }
+    const MultiLimbSpec& spec = kMultiLimb[i];
+    os << "\"" << spec.name << "\":{\"bits\":" << spec.bits
+       << ",\"nsPerOp\":" << multiLimb[i].nsPerOp
+       << ",\"allocsPerOp\":" << multiLimb[i].allocsPerOp
+       << ",\"baselineNsPerOp\":" << spec.baselineNs
+       << ",\"baselineAllocsPerOp\":" << spec.baselineAllocs << ",\"speedup\":"
+       << (multiLimb[i].nsPerOp > 0.0 ? spec.baselineNs / multiLimb[i].nsPerOp : 0.0) << "}";
   }
   os << "}}\n";
   std::cout << "bigint small-path series written to " << path << "\n";

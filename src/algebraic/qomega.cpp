@@ -83,9 +83,14 @@ bool QOmega::canonicalizeSmall() {
       }
       return x;
     };
-    std::uint64_t g = gcdU64(gcdU64(absU64(n.a), absU64(n.b)),
-                             gcdU64(absU64(n.c), absU64(n.d)));
-    g = gcdU64(g, static_cast<std::uint64_t>(den));
+    // Fold from the denominator and stop once the content reaches 1.
+    std::uint64_t g = gcdU64(static_cast<std::uint64_t>(den), absU64(n.a));
+    for (const std::int64_t coefficient : {n.b, n.c, n.d}) {
+      if (g == 1) {
+        break;
+      }
+      g = gcdU64(g, absU64(coefficient));
+    }
     if (g != 1) {
       const auto divisor = static_cast<std::int64_t>(g);
       n.a /= divisor;
@@ -134,11 +139,17 @@ void QOmega::canonicalize() {
   }
   // (c) cancel the odd content shared between numerator and denominator.
   // (Dividing by an odd integer preserves coefficient parities, so the
-  // exponent stays minimal.)
+  // exponent stays minimal.)  The content folds from the denominator and
+  // stops as soon as it reaches 1, so a coprime first coefficient skips the
+  // other three gcds; the gcd is unique, so the order cannot change it.
   if (!den_.isOne()) {
-    BigInt g = BigInt::gcd(BigInt::gcd(num_.a(), num_.b()),
-                           BigInt::gcd(num_.c(), num_.d()));
-    g = BigInt::gcd(std::move(g), den_);
+    BigInt g = BigInt::gcd(den_, num_.a());
+    for (const BigInt* coefficient : {&num_.b(), &num_.c(), &num_.d()}) {
+      if (g.isOne()) {
+        break;
+      }
+      g = BigInt::gcd(std::move(g), *coefficient);
+    }
     if (!g.isOne()) {
       num_ = ZOmega{num_.a() / g, num_.b() / g, num_.c() / g, num_.d() / g};
       den_ /= g;

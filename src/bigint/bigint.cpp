@@ -795,6 +795,58 @@ std::uint64_t topWindow(const qadd::detail::LimbVec& limbs, std::size_t shift) n
   return static_cast<std::uint64_t>(window >> bitIndex);
 }
 
+/// out = |accumulated| after the fused pass below wrote its low `n` limbs and
+/// left the signed carry `carry` (|carry| < 2^64): two more limbs take the
+/// carry, a negative total is negated to its magnitude, and zero limbs are
+/// trimmed.
+void finishCombination(qadd::detail::LimbVec& out, std::size_t n, __int128 carry) noexcept {
+  out[n] = static_cast<std::uint32_t>(carry);
+  carry >>= 32;
+  out[n + 1] = static_cast<std::uint32_t>(carry);
+  carry >>= 32;
+  if (carry < 0) {
+    // Two's complement over n + 2 limbs: invert and add one.
+    std::uint64_t increment = 1;
+    for (std::size_t i = 0; i < n + 2; ++i) {
+      const std::uint64_t limb = static_cast<std::uint32_t>(~out[i]) + increment;
+      out[i] = static_cast<std::uint32_t>(limb);
+      increment = limb >> 32;
+    }
+  }
+  while (!out.empty() && out.back() == 0) {
+    out.pop_back();
+  }
+}
+
+/// Lehmer cofactor step, fused: nextA = |a*mA + b*mB| and nextB = |a*mC + b*mD|
+/// in one pass over the limbs, into caller-owned buffers that keep their
+/// capacity from round to round.  |cofactors| <= 2^62 and limbs are 32-bit,
+/// so each product is below 2^94 and each accumulator (two products plus the
+/// carry) stays below 2^96 — well inside a signed 128-bit integer.
+/// \pre |a| >= |b|
+void lehmerCombine(const qadd::detail::LimbVec& a, const qadd::detail::LimbVec& b,
+                   std::int64_t mA, std::int64_t mB, std::int64_t mC, std::int64_t mD,
+                   qadd::detail::LimbVec& nextA, qadd::detail::LimbVec& nextB) {
+  const std::size_t n = a.size();
+  nextA.assign(n + 2, 0);
+  nextB.assign(n + 2, 0);
+  __int128 carryA = 0;
+  __int128 carryB = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    // Signed 64-bit operands let the compiler emit single 64x64->128 multiplies.
+    const std::int64_t ai = a[i];
+    const std::int64_t bi = i < b.size() ? b[i] : 0;
+    carryA += static_cast<__int128>(ai) * mA + static_cast<__int128>(bi) * mB;
+    carryB += static_cast<__int128>(ai) * mC + static_cast<__int128>(bi) * mD;
+    nextA[i] = static_cast<std::uint32_t>(carryA);
+    nextB[i] = static_cast<std::uint32_t>(carryB);
+    carryA >>= 32; // arithmetic shift: floor division keeps the limbs exact
+    carryB >>= 32;
+  }
+  finishCombination(nextA, n, carryA);
+  finishCombination(nextB, n, carryB);
+}
+
 } // namespace
 
 BigInt BigInt::gcd(BigInt a, BigInt b) {
@@ -825,12 +877,39 @@ BigInt BigInt::gcd(BigInt a, BigInt b) {
   // round retires ~31 bits, against 1 bit per subtract-and-shift round of the
   // binary GCD this replaces — the difference dominated whole-simulation
   // profiles via the canonicalization content gcd.
+  //
+  // The matrix is applied by lehmerCombine into two scratch buffers that are
+  // swapped with the operands' limbs after each round.  Magnitudes only
+  // shrink, so sizing all four buffers once for the widest operand (plus the
+  // two carry limbs) leaves the rounds allocation-free.
+  const std::size_t widest = std::max(a.limbs_.size(), b.limbs_.size());
+  LimbVec nextA;
+  LimbVec nextB;
+  if (widest > 2) {
+    a.limbs_.reserve(widest + 2);
+    b.limbs_.reserve(widest + 2);
+    nextA.reserve(widest + 2);
+    nextB.reserve(widest + 2);
+  }
   while (a.limbs_.size() > 2 || b.limbs_.size() > 2) {
     if (compareMagnitude(a.limbs_, b.limbs_) < 0) {
       std::swap(a, b);
     }
     if (b.isZero()) {
       return a;
+    }
+    if (b.magFitsU64()) {
+      // One-word divisor: reduce a by it limb by limb, with no quotient and
+      // no allocation, and let word Euclid below finish.
+      const std::uint64_t divisor = b.magU64();
+      std::uint64_t remainder = 0;
+      for (std::size_t i = a.limbs_.size(); i-- > 0;) {
+        remainder = static_cast<std::uint64_t>(
+            ((static_cast<unsigned __int128>(remainder) << 32) | a.limbs_[i]) % divisor);
+      }
+      a.setMagU64(divisor, false);
+      b.setMagU64(remainder, false);
+      break;
     }
     const std::size_t bits = a.bitLength();
     const std::size_t shift = bits > 63 ? bits - 63 : 0;
@@ -873,11 +952,8 @@ BigInt BigInt::gcd(BigInt a, BigInt b) {
       a.limbs_ = std::move(b.limbs_);
       b.limbs_ = std::move(remainder);
     } else {
-      BigInt nextA = a * BigInt{mA} + b * BigInt{mB};
-      BigInt nextB = a * BigInt{mC} + b * BigInt{mD};
-      nextA.negative_ = false;
-      nextB.negative_ = false;
-      if (compareMagnitude(nextB.limbs_, b.limbs_) >= 0) {
+      lehmerCombine(a.limbs_, b.limbs_, mA, mB, mC, mD, nextA, nextB);
+      if (compareMagnitude(nextB, b.limbs_) >= 0) {
         // No reduction (pathological window): force progress by division.
         LimbVec quotient;
         LimbVec remainder;
@@ -885,8 +961,8 @@ BigInt BigInt::gcd(BigInt a, BigInt b) {
         a.limbs_ = std::move(b.limbs_);
         b.limbs_ = std::move(remainder);
       } else {
-        a = std::move(nextA);
-        b = std::move(nextB);
+        std::swap(a.limbs_, nextA);
+        std::swap(b.limbs_, nextB);
       }
     }
   }

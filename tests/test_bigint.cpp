@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <utility>
+#include <vector>
 
 namespace qadd {
 namespace {
@@ -498,6 +500,82 @@ TEST(BigIntBoundary, KernelOverflowEdgesDivShift) {
   EXPECT_EQ(near64.shiftRight(64).toInt64(), 0);
   EXPECT_EQ(BigInt::gcd(pow2(64), pow2(63)), pow2(63));
   EXPECT_EQ(BigInt::gcd(near64, near64), near64);
+}
+
+// -- multi-limb gcd: Lehmer against plain Euclid -------------------------------
+
+/// Positive value of exactly `limbs` 32-bit limbs (top limb non-zero).
+BigInt randomLimbs(std::mt19937_64& rng, int limbs) {
+  BigInt value{static_cast<std::int64_t>((rng() >> 32) | 1)};
+  for (int i = 1; i < limbs; ++i) {
+    value = value.shiftLeft(32) + BigInt{static_cast<std::int64_t>(rng() >> 32)};
+  }
+  return value;
+}
+
+/// Textbook Euclid on BigInt::divMod: the oracle for the Lehmer gcd.
+BigInt euclidGcd(BigInt a, BigInt b) {
+  a = a.abs();
+  b = b.abs();
+  BigInt quotient;
+  BigInt remainder;
+  while (!b.isZero()) {
+    BigInt::divMod(a, b, quotient, remainder);
+    a = std::move(b);
+    b = std::move(remainder);
+  }
+  return a;
+}
+
+/// Operand pairs of 3-40 limbs (exact simulations reach ~1200-bit, i.e.
+/// ~38-limb, coefficients) covering the shapes the Lehmer loop branches on.
+std::vector<std::pair<BigInt, BigInt>> multiLimbGcdCases() {
+  std::mt19937_64 rng(2024);
+  std::uniform_int_distribution<int> limbs(3, 40);
+  std::vector<std::pair<BigInt, BigInt>> cases;
+  for (int i = 0; i < 60; ++i) {
+    // Planted common factor of 1-20 limbs.
+    const BigInt g = randomLimbs(rng, 1 + static_cast<int>(rng() % 20));
+    cases.emplace_back(g * randomLimbs(rng, limbs(rng)), g * randomLimbs(rng, limbs(rng)));
+    // Unrelated operands of unequal lengths.
+    cases.emplace_back(randomLimbs(rng, limbs(rng)), randomLimbs(rng, limbs(rng)));
+  }
+  for (int i = 0; i < 10; ++i) {
+    const BigInt x = randomLimbs(rng, limbs(rng));
+    // |a| >> |b|, down to a one-limb b.
+    cases.emplace_back(randomLimbs(rng, 40), randomLimbs(rng, 1 + i % 3));
+    cases.emplace_back(x, x);                                        // a == b
+    cases.emplace_back(x * randomLimbs(rng, 1 + i), x);              // b divides a
+    cases.emplace_back(-x, x * BigInt{static_cast<std::int64_t>(rng() >> 40)}); // negatives
+    cases.emplace_back(-x, -randomLimbs(rng, limbs(rng)));
+    cases.emplace_back(x, BigInt{0});
+    cases.emplace_back(BigInt{0}, -x);
+  }
+  // Consecutive Fibonacci numbers: every quotient is 1, the longest windows.
+  BigInt previous{1};
+  BigInt current{1};
+  while (current.bitLength() < 1200) {
+    previous = std::exchange(current, current + previous);
+  }
+  cases.emplace_back(current, previous);
+  cases.emplace_back(previous * BigInt{12345}, current * BigInt{12345});
+  return cases;
+}
+
+TEST(BigIntGcd, MultiLimbMatchesEuclid) {
+  const auto cases = multiLimbGcdCases();
+  for (const bool fastPaths : {true, false}) {
+    const bool previous = detail::setSmallFastPaths(fastPaths);
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const auto& [a, b] = cases[i];
+      const BigInt expected = euclidGcd(a, b);
+      SCOPED_TRACE(testing::Message() << "case " << i << ", fast paths " << fastPaths);
+      EXPECT_EQ(BigInt::gcd(a, b), expected);
+      EXPECT_EQ(BigInt::gcd(b, a), expected);
+      EXPECT_FALSE(expected.isNegative());
+    }
+    detail::setSmallFastPaths(previous);
+  }
 }
 
 } // namespace

@@ -2,17 +2,24 @@
 /// numeric leftmost / max-magnitude, algebraic Q[omega]-inverse (Algorithm 2)
 /// and algebraic D[omega]-GCD (Algorithm 3), including the canonicity
 /// property that makes QMDD equivalence checking O(1).
+#include "algorithms/grover.hpp"
+#include "algorithms/gse.hpp"
 #include "core/algebraic_system.hpp"
 #include "core/export.hpp"
 #include "core/numeric_system.hpp"
 #include "core/package.hpp"
+#include "io/snapshot.hpp"
 #include "qc/gates.hpp"
 #include "qc/simulator.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <span>
+#include <string>
+#include <vector>
 
 namespace qadd::dd {
 namespace {
@@ -241,6 +248,74 @@ TEST(Normalization, GcdSchemeCanonicityGivesO1Equivalence) {
   sim.run();
   auto& p = sim.package();
   EXPECT_EQ(sim.state(), p.makeZeroState());
+}
+
+// -- pinned exact runs -----------------------------------------------------------
+//
+// Normalization routes its products through the memoized mul.  A cache hit
+// returns a handle that was interned before, so the intern table must come
+// out with the same values in the same handle order as a recomputation.  The
+// figures below were captured before that routing existed; any drift in the
+// interned set or its order shows up in the order hash, and any drift in the
+// diagram in the node counts or the QDDS bytes.
+
+struct PinnedRun {
+  std::size_t distinctValues;
+  std::size_t maxBits;
+  std::size_t finalNodes;
+  std::size_t peakNodes;
+  std::size_t qddsBytes;
+  std::uint64_t qddsHash;  ///< FNV-1a of the QDDS snapshot of the final state
+  std::uint64_t orderHash; ///< FNV-1a of every interned value's text, in handle order
+};
+
+std::uint64_t fnv1a(std::uint64_t hash, std::span<const std::uint8_t> bytes) {
+  for (const std::uint8_t byte : bytes) {
+    hash = (hash ^ byte) * 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+void expectPinnedRun(const qc::Circuit& circuit, AlgebraicSystem::Normalization normalization,
+                     const PinnedRun& pinned) {
+  qc::Simulator<AlgebraicSystem> sim(circuit, AlgebraicSystem::Config{normalization});
+  sim.run();
+  auto& package = sim.package();
+  const AlgebraicSystem& system = package.system();
+  const std::vector<std::uint8_t> qdds = io::saveVector(package, sim.state());
+  std::uint64_t order = kFnvOffset;
+  for (AlgebraicSystem::Weight w = 0; w < system.distinctValues(); ++w) {
+    const std::string text = system.value(w).toString();
+    order = fnv1a(order, std::span(reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
+  }
+  EXPECT_EQ(system.distinctValues(), pinned.distinctValues);
+  EXPECT_EQ(system.maxBits(), pinned.maxBits);
+  EXPECT_EQ(package.countNodes(sim.state()), pinned.finalNodes);
+  EXPECT_EQ(package.peakNodes(), pinned.peakNodes);
+  EXPECT_EQ(qdds.size(), pinned.qddsBytes);
+  EXPECT_EQ(fnv1a(kFnvOffset, qdds), pinned.qddsHash);
+  EXPECT_EQ(order, pinned.orderHash);
+}
+
+TEST(AlgebraicNormalization, Grover10RunIsPinned) {
+  const qc::Circuit circuit = algos::grover({10, 0x2AA, 0});
+  expectPinnedRun(circuit, AlgebraicSystem::Normalization::QOmegaInverse,
+                  {3945, 205, 19, 8425, 265, 0x1aa63769a8c2f7f7ULL, 0xf06c1cae6cc3c851ULL});
+  expectPinnedRun(circuit, AlgebraicSystem::Normalization::GcdDOmega,
+                  {2728, 205, 19, 8425, 249, 0xcf52608b1aab252dULL, 0x8b72f5ae9d90d0c2ULL});
+}
+
+TEST(AlgebraicNormalization, CliffordTGse2Plus2RunIsPinned) {
+  algos::GseOptions options;
+  options.systemQubits = 2;
+  options.precisionQubits = 2;
+  const qc::Circuit circuit = algos::gse(options, {4, 1});
+  expectPinnedRun(circuit, AlgebraicSystem::Normalization::QOmegaInverse,
+                  {3614, 148, 13, 2744, 1273, 0xea3485bada62496aULL, 0x7762729577fb0157ULL});
+  expectPinnedRun(circuit, AlgebraicSystem::Normalization::GcdDOmega,
+                  {3953, 38, 13, 2744, 492, 0x36a0d8eac8948b42ULL, 0x1ccf0c270b52884bULL});
 }
 
 } // namespace

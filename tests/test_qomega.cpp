@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <complex>
 #include <random>
 
@@ -240,6 +241,55 @@ TEST(QOmega, DensityApproximationConverges) {
   const QOmega expected{ZOmega{BigInt{0}, BigInt{-64}, BigInt{0}, BigInt{128}}, 16};
   EXPECT_EQ(QOmega::approximate({0.5, -0.25}, 8), expected);
   EXPECT_THROW((void)QOmega::approximate({1.0, 0.0}, 5000), std::invalid_argument);
+}
+
+// -- odd-content cancellation (canonicalization step c) --------------------------
+
+/// One canonicalization case: numerator coefficients and denominator in,
+/// expected canonical numerator, exponent and denominator out.
+struct ContentCase {
+  const char* name;
+  std::array<std::int64_t, 4> num;
+  std::int64_t den;
+  std::array<std::int64_t, 4> expectedNum;
+  long expectedK;
+  std::int64_t expectedDen;
+};
+
+TEST(QOmegaContent, CancelsExactlyTheSharedOddContent) {
+  const ContentCase cases[] = {
+      // gcd(den, a) == 1 already: the fold stops at the first coefficient.
+      {"coprime at a", {7, 15, 30, 45}, 15, {7, 15, 30, 45}, 0, 15},
+      // a, b and c share all of 105; only d narrows the content to 35.
+      {"narrowed at d", {105, 210, 420, 35}, 105, {3, 6, 12, 1}, 0, 3},
+      // a, b and c share all of 15; d is coprime, so nothing cancels.
+      {"coprime at d", {15, 30, 45, 7}, 15, {15, 30, 45, 7}, 0, 15},
+      // den == 1: the numerator content 3 has nothing to cancel against.
+      {"den one", {3, 6, 12, 9}, 1, {3, 6, 12, 9}, 0, 1},
+      // den == 4 folds into k and leaves den == 1 — same, nothing cancels.
+      {"den power of two", {3, 6, 12, 9}, 4, {3, 6, 12, 9}, 4, 1},
+  };
+  // 2^89 - 1 is prime and odd: scaling every coefficient by it keeps the
+  // parities and the shared content, and pushes them onto the multi-limb path.
+  const BigInt wide = pow2(89) - BigInt{1};
+  for (const bool fastPaths : {true, false}) {
+    const bool previous = qadd::detail::setSmallFastPaths(fastPaths);
+    for (const ContentCase& c : cases) {
+      for (const BigInt& scale : {BigInt{1}, wide}) {
+        SCOPED_TRACE(testing::Message() << c.name << ", fast paths " << fastPaths << ", "
+                                        << scale.bitLength() << "-bit scale");
+        const auto scaled = [&scale](const std::array<std::int64_t, 4>& v) {
+          return ZOmega{BigInt{v[0]} * scale, BigInt{v[1]} * scale, BigInt{v[2]} * scale,
+                        BigInt{v[3]} * scale};
+        };
+        const QOmega value{scaled(c.num), 0, BigInt{c.den}};
+        EXPECT_EQ(value.num(), scaled(c.expectedNum));
+        EXPECT_EQ(value.k(), c.expectedK);
+        EXPECT_EQ(value.den(), BigInt{c.expectedDen});
+      }
+    }
+    qadd::detail::setSmallFastPaths(previous);
+  }
 }
 
 /// Parameterized: powers of unit values stay exactly on the unit circle.
