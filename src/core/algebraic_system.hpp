@@ -17,14 +17,11 @@
 #include "algebraic/small_kernels.hpp"
 #include "core/computed_table.hpp"
 #include "core/dd_node.hpp"
-#include "core/stable_vector.hpp"
 #include "obs/stats.hpp"
 
-#include <atomic>
 #include <complex>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -57,13 +54,6 @@ public:
     /// node count exceeds this after a decRef, the package garbage-collects.
     /// 0 disables auto-GC (collections only run on demand).
     std::size_t gcWatermark = 0;
-    /// Fork-join recursion cutoff for the package's parallel kernels: fork
-    /// down to this many *effective* levels below each kernel root.  With
-    /// skip-level edges the kernels fast-forward implicit-identity prefixes
-    /// in O(1) without recursing, so the budget is only spent on levels that
-    /// are actually materialized — a deep skip still forks usefully below
-    /// it.  0 derives ceil(log2(workers)) + 2 when an executor is attached.
-    std::size_t parallelDepth = 0;
     /// Represent untouched qubits of matrix DDs implicitly via skip-level
     /// edges (identity collapse in makeNode, skip-emitting makeGate).  On by
     /// default; turning it off restores fully materialized identity towers
@@ -105,20 +95,6 @@ public:
   /// equal a recomputation; lossy caches are safe.
   [[nodiscard]] bool memoizationOrderDependent() const { return false; }
 
-  /// Switch the intern pool and the op caches between serial and concurrent
-  /// operation (quiescent-point only).  Concurrent interning serializes on
-  /// one mutex while value(w) reads stay lock-free (entries_ is a
-  /// StableVector, so published handles never move).
-  void setConcurrent(bool concurrent) {
-    concurrent_ = concurrent;
-    addCache_.setConcurrent(concurrent);
-    subCache_.setConcurrent(concurrent);
-    mulCache_.setConcurrent(concurrent);
-    divCache_.setConcurrent(concurrent);
-    invCache_.setConcurrent(concurrent);
-  }
-  [[nodiscard]] bool concurrent() const { return concurrent_; }
-
   [[nodiscard]] std::size_t distinctValues() const { return entries_.size(); }
   /// O(1) view of the process-wide word-kernel fast-path tallies (see
   /// collectObs), cheap enough for per-gate timeline sampling.
@@ -128,14 +104,14 @@ public:
   }
   /// Largest coefficient/denominator bit width ever interned — the cost
   /// driver the paper identifies for the GSE blow-up (Section V-B).
-  [[nodiscard]] std::size_t maxBits() const { return maxBits_.load(std::memory_order_relaxed); }
+  [[nodiscard]] std::size_t maxBits() const { return maxBits_; }
   /// Fraction of normalizations whose produced weights were all 0 or 1
   /// (trivial); the paper reports Q[omega]-inverse normalization keeps at
   /// least half the weights trivial.
   [[nodiscard]] double trivialWeightFraction() const {
-    const std::uint64_t produced = weightsProduced_.load(std::memory_order_relaxed);
-    const std::uint64_t trivial = trivialWeightsProduced_.load(std::memory_order_relaxed);
-    return produced == 0 ? 1.0 : static_cast<double>(trivial) / static_cast<double>(produced);
+    return weightsProduced_ == 0
+               ? 1.0
+               : static_cast<double>(trivialWeightsProduced_) / static_cast<double>(weightsProduced_);
   }
 
   [[nodiscard]] const Config& config() const { return config_; }
@@ -192,17 +168,13 @@ private:
 
   Config config_;
   // Intern pool: map owns the values; entries_ gives O(1) handle -> value.
-  // In concurrent mode intern() serializes on internMutex_ while value(w)
-  // reads stay lock-free (StableVector entries never move; workers only hold
-  // handles that were published through a synchronizing structure).
+  // The map's nodes never move, so the pointers stay valid as it grows.
   std::unordered_map<alg::QOmega, Weight> pool_;
-  StableVector<const alg::QOmega*> entries_;
+  std::vector<const alg::QOmega*> entries_;
   std::vector<std::uint64_t> bitWidthHistogram_;
-  std::mutex internMutex_;
-  bool concurrent_ = false;
-  std::atomic<std::size_t> maxBits_{0};
-  std::atomic<std::uint64_t> weightsProduced_{0};
-  std::atomic<std::uint64_t> trivialWeightsProduced_{0};
+  std::size_t maxBits_ = 0;
+  std::uint64_t weightsProduced_ = 0;
+  std::uint64_t trivialWeightsProduced_ = 0;
   OpCache addCache_;
   OpCache subCache_;
   OpCache mulCache_;

@@ -19,23 +19,6 @@
 /// with no memset and no page faults, and caches that are never used cost
 /// nothing at all.
 ///
-/// Concurrent mode (setConcurrent): the parallel fork-join kernels probe and
-/// fill one shared table from every worker, so each slot becomes a seqlock: a
-/// per-slot sequence word (even = stable, odd = write in progress, 0 = never
-/// written) guards a relaxed word-wise copy of the entry.  A writer claims
-/// the slot with one CAS (even -> odd), stores the entry words relaxed, and
-/// publishes with a release store (even again); a reader acquires the
-/// sequence, copies the words out, and revalidates the sequence behind an
-/// acquire fence — a torn or in-flight slot simply reads as a miss, which is
-/// always safe for a lossy memo cache.  Lookups therefore return the value
-/// *by copy*, never by pointer: there is no entry address that remains valid
-/// after the probe.  Losing an insert whose CAS raced another writer is
-/// harmless for the same reason.  The occupancy bitmap and the lossless
-/// spill map are serial-mode mechanisms and are not consulted in concurrent
-/// mode (setConcurrent clears the table, and lossless mode — which only
-/// arises under order-dependent tolerance interning — is mutually exclusive
-/// with concurrent kernels by construction).
-///
 /// Lossless mode (setLossless): losing a memoized result is only a time
 /// cost when recomputation is deterministic.  Under a *tolerance-mode*
 /// numeric weight system it is not — a recomputed weight can unify onto an
@@ -45,8 +28,6 @@
 /// semantics of the former unbounded unordered_map caches.
 #pragma once
 
-#include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -73,26 +54,21 @@ public:
   static constexpr std::size_t kEntries = NumEntries;
 
   ComputedTable() = default;
-  ~ComputedTable() { std::free(storage_); }
+  ~ComputedTable() { std::free(entries_); }
 
   ComputedTable(const ComputedTable&) = delete;
   ComputedTable& operator=(const ComputedTable&) = delete;
 
   /// Copy the cached value for `key` into `out` and return true, or return
   /// false on a miss.  Entries written before the last clear() are never
-  /// returned.  The copy-out signature (instead of the former `const Value*`
-  /// return) is what makes the concurrent seqlock probe possible: no pointer
-  /// into the table survives the call.
+  /// returned.
   [[nodiscard]] bool lookup(const Key& key, Value& out) const {
-    if (concurrent_) {
-      return lookupConcurrent(key, out);
-    }
-    if (storage_ == nullptr) {
+    if (entries_ == nullptr) {
       return false; // nothing inserted yet
     }
     const std::size_t slot = slotOf(key);
     if (occupied(slot)) {
-      const Entry& entry = *entryAt(slot);
+      const Entry& entry = entries_[slot];
       if (entry.epoch == epoch_ && entry.key == key) {
         out = entry.value;
         return true;
@@ -110,17 +86,13 @@ public:
   /// Store `key -> value`, overwriting the slot's previous occupant (in
   /// lossless mode a displaced live entry is spilled, not dropped).
   /// Returns true iff a *live* entry with a different key was displaced
-  /// (the eviction/spill telemetry event).  In concurrent mode an insert
-  /// whose slot is mid-write by another worker is dropped silently.
+  /// (the eviction/spill telemetry event).
   bool insert(const Key& key, const Value& value) {
-    if (concurrent_) {
-      return insertConcurrent(key, value);
-    }
-    if (storage_ == nullptr) {
+    if (entries_ == nullptr) {
       allocate();
     }
     const std::size_t slot = slotOf(key);
-    Entry& entry = *entryAt(slot);
+    Entry& entry = entries_[slot];
     const bool evicted = occupied(slot) && entry.epoch == epoch_ && !(entry.key == key);
     if (evicted && lossless_) {
       spill_.emplace(entry.key, entry.value);
@@ -133,17 +105,12 @@ public:
   }
 
   /// Invalidate every entry in O(1) by advancing the epoch.  (On the
-  /// unreachable-in-practice 2^32 wraparound the backing memory is reset for
-  /// real, so a stale entry can never alias a fresh epoch.)  Must only be
-  /// called while no kernel is running — clears are a quiescent-point
-  /// operation (GC, package teardown), which the package guarantees.
+  /// unreachable-in-practice 2^32 wraparound the occupancy bitmap is reset
+  /// for real, so a stale entry can never alias a fresh epoch.)
   void clear() {
     if (++epoch_ == 0) {
       if (occupancy_ != nullptr) {
         std::memset(static_cast<void*>(occupancy_.get()), 0, kOccupancyWords * sizeof(std::uint64_t));
-      }
-      if (concurrent_ && storage_ != nullptr) {
-        std::memset(storage_, 0, NumEntries * kStride); // epoch 0 entries never validate
       }
       epoch_ = 1;
     }
@@ -155,34 +122,8 @@ public:
 
   /// Retain displaced live entries in an overflow map so no memoized result
   /// is ever lost (see the file comment on order-dependent recomputation).
-  void setLossless(bool lossless) {
-    assert(!(lossless && concurrent_) && "lossless spill is a serial-mode mechanism");
-    lossless_ = lossless;
-  }
+  void setLossless(bool lossless) { lossless_ = lossless; }
   [[nodiscard]] bool lossless() const { return lossless_; }
-
-  /// Switch the slot protocol to the seqlock scheme described in the file
-  /// comment.  Clears the table (serially-written entries carry no sequence
-  /// words) and pre-allocates the backing memory, so no allocation races can
-  /// occur once workers start probing.  Must be called from a quiescent
-  /// point; switching back to serial mode is likewise quiescent-only.
-  void setConcurrent(bool concurrent) {
-    if (concurrent == concurrent_) {
-      return;
-    }
-    assert(!(concurrent && lossless_) && "lossless spill is a serial-mode mechanism");
-    if (concurrent) {
-      if (storage_ == nullptr) {
-        allocate();
-      }
-      if (seq_ == nullptr) {
-        seq_ = std::make_unique<std::atomic<std::uint32_t>[]>(NumEntries); // zeroed
-      }
-    }
-    clear();
-    concurrent_ = concurrent;
-  }
-  [[nodiscard]] bool concurrent() const { return concurrent_; }
 
   /// Direct-mapped slot index of a key (exposed for collision tests).
   [[nodiscard]] static std::size_t slotOf(const Key& key) {
@@ -205,90 +146,24 @@ private:
   static constexpr std::size_t kOccupancyWords = NumEntries / 64;
   static_assert(kOccupancyWords > 0, "NumEntries must be at least 64");
 
-  /// Entries are stored at an 8-byte-multiple stride so the concurrent path
-  /// can copy them as whole 64-bit words with std::atomic_ref.
-  static constexpr std::size_t kEntryWords = (sizeof(Entry) + 7) / 8;
-  static constexpr std::size_t kStride = kEntryWords * 8;
-
-  [[nodiscard]] Entry* entryAt(std::size_t slot) const {
-    return reinterpret_cast<Entry*>(storage_ + slot * kStride);
-  }
-
   [[nodiscard]] bool occupied(std::size_t slot) const {
     return (occupancy_[slot >> 6U] >> (slot & 63U)) & 1U;
   }
 
   void allocate() {
-    // Entries stay uninitialized on purpose — the bitmap (serial) or the
-    // sequence words (concurrent) are the ground truth for slot validity.
-    storage_ = static_cast<std::byte*>(std::malloc(NumEntries * kStride));
-    if (storage_ == nullptr) {
+    // Entries stay uninitialized on purpose — the bitmap is the ground truth
+    // for whether a slot has ever been written.
+    entries_ = static_cast<Entry*>(std::malloc(NumEntries * sizeof(Entry)));
+    if (entries_ == nullptr) {
       throw std::bad_alloc();
     }
     occupancy_ = std::make_unique<std::uint64_t[]>(kOccupancyWords); // zeroed
   }
 
-  [[nodiscard]] bool lookupConcurrent(const Key& key, Value& out) const {
-    const std::size_t slot = slotOf(key);
-    const std::uint32_t seq1 = seq_[slot].load(std::memory_order_acquire);
-    if (seq1 == 0 || (seq1 & 1U) != 0) {
-      return false; // never written, or a writer is mid-flight
-    }
-    alignas(8) std::byte buf[kStride];
-    const auto* src = reinterpret_cast<const std::uint64_t*>(entryAt(slot));
-    auto* dst = reinterpret_cast<std::uint64_t*>(buf);
-    for (std::size_t i = 0; i < kEntryWords; ++i) {
-      dst[i] = std::atomic_ref<std::uint64_t>(const_cast<std::uint64_t&>(src[i]))
-                   .load(std::memory_order_relaxed);
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (seq_[slot].load(std::memory_order_relaxed) != seq1) {
-      return false; // torn read: a writer overlapped the copy
-    }
-    Entry entry;
-    std::memcpy(&entry, buf, sizeof(Entry));
-    if (entry.epoch != epoch_ || !(entry.key == key)) {
-      return false;
-    }
-    out = entry.value;
-    return true;
-  }
-
-  bool insertConcurrent(const Key& key, const Value& value) {
-    const std::size_t slot = slotOf(key);
-    std::uint32_t cur = seq_[slot].load(std::memory_order_relaxed);
-    if ((cur & 1U) != 0) {
-      return false; // another writer owns the slot; drop the insert
-    }
-    if (!seq_[slot].compare_exchange_strong(cur, cur + 1, std::memory_order_acquire,
-                                            std::memory_order_relaxed)) {
-      return false;
-    }
-    // We own the slot: the previous writer's release publish happens-before
-    // our acquire claim, so a plain read of the old entry is safe.
-    bool evicted = false;
-    if (cur != 0) {
-      const Entry& old = *entryAt(slot);
-      evicted = old.epoch == epoch_ && !(old.key == key);
-    }
-    alignas(8) std::byte buf[kStride]{};
-    const Entry staged{key, value, epoch_};
-    std::memcpy(buf, &staged, sizeof(Entry));
-    const auto* src = reinterpret_cast<const std::uint64_t*>(buf);
-    auto* dst = reinterpret_cast<std::uint64_t*>(entryAt(slot));
-    for (std::size_t i = 0; i < kEntryWords; ++i) {
-      std::atomic_ref<std::uint64_t>(dst[i]).store(src[i], std::memory_order_relaxed);
-    }
-    seq_[slot].store(cur + 2, std::memory_order_release);
-    return evicted;
-  }
-
-  std::byte* storage_ = nullptr; ///< allocated on first insert; uninitialized
-  std::unique_ptr<std::uint64_t[]> occupancy_; ///< 1 bit per slot: ever written (serial mode)
-  std::unique_ptr<std::atomic<std::uint32_t>[]> seq_; ///< per-slot seqlock (concurrent mode)
+  Entry* entries_ = nullptr; ///< allocated on first insert; uninitialized
+  std::unique_ptr<std::uint64_t[]> occupancy_; ///< 1 bit per slot: ever written
   std::uint32_t epoch_ = 1;
   bool lossless_ = false;
-  bool concurrent_ = false;
   std::unordered_map<Key, Value, KeyHasher> spill_; ///< displaced live entries (lossless mode)
 };
 

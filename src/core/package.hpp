@@ -35,16 +35,9 @@
 /// decRef() when the live node count crosses the configured watermark
 /// (System::Config::gcWatermark, 0 = only on demand).
 ///
-/// Intra-operation parallelism (see docs/PARALLELISM.md): setExecutor()
-/// attaches an exec::ThreadPool and — when the weight system's memoization
-/// is order-independent (algebraic, or numeric in exact mode) — switches the
-/// package into concurrent mode: add/multiply/kronecker fork their child
-/// subproblems onto the pool down to a depth cutoff (Config::parallelDepth;
-/// 0 derives ceil(log2(workers)) + 2), the unique tables take stripe locks
-/// around find-or-insert, the operation caches publish entries through
-/// per-slot seqlocks, and the arenas hand out per-worker spans.  With no
-/// executor (or a 1-worker pool, or an order-dependent system) every one of
-/// those paths collapses to the exact pre-concurrency serial code.
+/// A package is thread-confined: parallelism runs whole packages side by
+/// side (sweep points, serve sessions; see docs/PARALLELISM.md), never one
+/// operation across threads.
 #pragma once
 
 #include "algebraic/qomega.hpp" // exact amplitude accumulation (algebraic system)
@@ -52,15 +45,12 @@
 #include "core/dd_node.hpp"
 #include "core/memory_manager.hpp"
 #include "core/unique_table.hpp"
-#include "exec/thread_pool.hpp"
 #include "obs/stats.hpp"
 #include "obs/timeline.hpp"
 #include "obs/tracer.hpp"
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cmath>
@@ -134,7 +124,7 @@ public:
 
   explicit Package(Qubit nqubits, typename System::Config config = {})
       : nqubits_(nqubits), system_(config), gcWatermark_(config.gcWatermark),
-        configParallelDepth_(config.parallelDepth), skipIdentities_(config.skipIdentities) {
+        skipIdentities_(config.skipIdentities) {
     if (system_.memoizationOrderDependent()) {
       // A recomputed result could differ from the cached one (tolerance-mode
       // interning): keep every memoized result so nothing is ever recomputed.
@@ -151,51 +141,6 @@ public:
   [[nodiscard]] System& system() { return system_; }
   [[nodiscard]] const System& system() const { return system_; }
 
-  // -- intra-operation parallelism ----------------------------------------------
-
-  /// Attach (or detach, with nullptr) the thread pool the DD kernels fork
-  /// onto.  Concurrent mode engages only when the pool has more than one
-  /// worker AND the weight system's memoization is order-independent —
-  /// tolerance-mode numeric interning stays serial so its lossless-cache
-  /// determinism contract is untouched.  Quiescent-point only (never while a
-  /// kernel is running); a package binds to at most one pool at a time.
-  void setExecutor(exec::ThreadPool* pool) {
-    assert(activeKernels_ == 0 && "setExecutor during a running kernel");
-    executor_ = pool;
-    const std::size_t workers = pool != nullptr ? pool->workers() : 0;
-    const bool wantConcurrent = workers > 1 && !system_.memoizationOrderDependent();
-    if (wantConcurrent == concurrent_ && !wantConcurrent) {
-      return;
-    }
-    concurrent_ = wantConcurrent;
-    if (concurrent_) {
-      parallelDepth_ = configParallelDepth_ != 0
-                           ? configParallelDepth_
-                           : static_cast<std::size_t>(std::bit_width(workers - 1)) + 2;
-    } else {
-      parallelDepth_ = 0;
-    }
-    vUnique_.setConcurrent(concurrent_);
-    mUnique_.setConcurrent(concurrent_);
-    if (concurrent_) {
-      vMem_.setConcurrent(workers);
-      mMem_.setConcurrent(workers);
-    }
-    for (const CacheRegistryEntry& entry : kCacheRegistry) {
-      entry.setConcurrent(*this, concurrent_);
-    }
-    system_.setConcurrent(concurrent_);
-  }
-  [[nodiscard]] exec::ThreadPool* executor() const { return executor_; }
-  /// True iff the kernels currently run the forked, striped, seqlocked paths.
-  [[nodiscard]] bool concurrentKernels() const { return concurrent_; }
-  /// *Effective* recursion depth down to which kernels fork (0 in serial
-  /// mode).  The budget decrements once per recursion step, and with
-  /// skip-level edges a step descends to the next *materialized* level of
-  /// the operands — identity levels skipped by an edge cost no budget (and
-  /// spawn no tasks), so the cutoff compares against the remaining
-  /// materialized depth, not the raw qubit count.  See Config::parallelDepth.
-  [[nodiscard]] std::size_t parallelDepth() const { return parallelDepth_; }
   /// True iff identity levels are kept implicit (skip-level matrix edges,
   /// Config::skipIdentities).  False reproduces the legacy fully-materialized
   /// representation (identity towers) — the before-side of bench/gate_apply.
@@ -254,10 +199,6 @@ public:
   /// Invalidate all operation caches and free every node that is no longer
   /// reachable from an externally referenced edge.
   GcReport garbageCollect() {
-    // GC is a stop-the-world quiescent-point operation: it is only ever
-    // entered from decRef/explicit calls outside the kernels, never while a
-    // fork-join recursion holds nodes that carry no ref count yet.
-    assert(activeKernels_ == 0 && "garbageCollect during a running kernel");
     const auto span = obs::Tracer::global().span("gc", "dd");
     const auto start = std::chrono::steady_clock::now();
     GcReport report;
@@ -481,34 +422,28 @@ public:
   // -- arithmetic ---------------------------------------------------------------
 
   [[nodiscard]] VEdge add(const VEdge& a, const VEdge& b) {
-    const KernelScope scope(*this);
-    return addImpl(a, b, parallelDepth_);
+    return addImpl(a, b);
   }
   [[nodiscard]] MEdge add(const MEdge& a, const MEdge& b) {
-    const KernelScope scope(*this);
-    return addImpl(a, b, parallelDepth_);
+    return addImpl(a, b);
   }
 
   /// Matrix-vector product M|v>.
   [[nodiscard]] VEdge multiply(const MEdge& m, const VEdge& v) {
-    const KernelScope scope(*this);
-    return multiplyImpl(m, v, parallelDepth_);
+    return multiplyImpl(m, v);
   }
   /// Matrix-matrix product A*B.
   [[nodiscard]] MEdge multiply(const MEdge& a, const MEdge& b) {
-    const KernelScope scope(*this);
-    return multiplyImpl(a, b, parallelDepth_);
+    return multiplyImpl(a, b);
   }
 
   /// |top> (x) |bottom>; top's variables must all lie above bottom's.
   [[nodiscard]] VEdge kronecker(const VEdge& top, const VEdge& bottom) {
-    const KernelScope scope(*this);
-    return kroneckerImpl(top, bottom, parallelDepth_);
+    return kroneckerImpl(top, bottom);
   }
   /// A (x) B for matrices; same variable discipline as the vector overload.
   [[nodiscard]] MEdge kronecker(const MEdge& top, const MEdge& bottom) {
-    const KernelScope scope(*this);
-    return kroneckerImpl(top, bottom, parallelDepth_);
+    return kroneckerImpl(top, bottom);
   }
 
   /// Conjugate transpose (adjoint) of a matrix DD.  Skip spans transpose to
@@ -641,7 +576,7 @@ public:
   /// running sum stays <= budget guarantees fidelity >= 1 - budget against
   /// the input state (for a normalized input).  Ties are broken by a DFS
   /// preorder ordinal of the owning node — a structural order, so the result
-  /// is identical no matter how many worker threads built the diagram.
+  /// does not depend on what else the package built before.
   ///
   /// The surviving diagram is rebuilt bottom-up through makeVNode (pruned
   /// edges become the zero vector), which keeps it canonical: snapshots of a
@@ -665,8 +600,8 @@ public:
       const auto weightNorm2 = [this](Weight w) { return std::norm(system_.toComplex(w)); };
 
       // Upward pass: squared subtree norms, plus a DFS preorder ordinal per
-      // node (the deterministic tie-break; Node::seq is allocation-order and
-      // therefore scheduling-dependent under the parallel kernels).
+      // node (the deterministic tie-break: a structural order of this
+      // diagram, independent of what else the package has built).
       std::unordered_map<const VNode*, double> norm2;
       std::unordered_map<const VNode*, std::size_t> ordinal;
       std::vector<const VNode*> preorder;
@@ -755,11 +690,9 @@ public:
 
       // Rebuild the surviving diagram bottom-up through makeVNode, memoized
       // per original node, so the pruned state is canonical like any other.
-      // The peak-node gauge samples once when the guard leaves scope: inUse
-      // is not monotone during the rebuild (normalization dedup returns
-      // fresh nodes to the free list), so per-insert samples would give the
-      // serial gauge finer resolution than the concurrent one and break the
-      // serial-vs-parallel byte-identity of the peaknodes column.
+      // The peak-node gauge samples once when the guard leaves scope, not
+      // per insert: the peaknodes value column of pruned runs pins that
+      // end-of-rebuild resolution.
       struct PeakGuard {
         Package& pkg;
         explicit PeakGuard(Package& p) : pkg(p) { pkg.peakSampleSuppressed_ = true; }
@@ -1039,44 +972,16 @@ private:
 
   // -- unified recursive algorithms ---------------------------------------------
 
-  /// RAII bracket around one public kernel invocation.  Tracks nesting so the
-  /// quiescent-point work (deferred unique-table growth, the peak-node gauge)
-  /// runs exactly when the outermost kernel exits — the only moment in
-  /// concurrent mode when no worker can still be probing the tables.
-  class KernelScope {
-  public:
-    explicit KernelScope(Package& pkg) : pkg_(pkg) { ++pkg_.activeKernels_; }
-    ~KernelScope() {
-      if (--pkg_.activeKernels_ == 0 && pkg_.concurrent_) {
-        pkg_.peakNodes_ = std::max(pkg_.peakNodes_, pkg_.allocatedNodes());
-        pkg_.vUnique_.growIfPending();
-        pkg_.mUnique_.growIfPending();
-      }
-    }
-    KernelScope(const KernelScope&) = delete;
-    KernelScope& operator=(const KernelScope&) = delete;
-
-  private:
-    Package& pkg_;
-  };
-
   /// Canonical operand order (addition is commutative).  Keyed on the nodes'
   /// insert serials, not their addresses: under a tolerance-mode system the
-  /// operand order steers interning, and heap addresses shift with thread
-  /// arenas and allocation interleaving while the serial-mode insert order
-  /// does not.  Callers guarantee both operands are non-terminal.
+  /// operand order steers interning, and heap addresses shift from run to
+  /// run (arena chunks come from malloc, which packages on other sweep
+  /// threads interleave with) while the insert order does not.  Callers
+  /// guarantee both operands are non-terminal.
   template <class EdgeT> [[nodiscard]] bool orderForAdd(const EdgeT& a, const EdgeT& b) const {
     return a.node->seq < b.node->seq || (a.node == b.node && a.w <= b.w);
   }
 
-  /// `depth` is the remaining fork budget: while nonzero, the child
-  /// subproblems are split across exec::forkJoin (one half enqueued as a
-  /// stealable pool task, the other half run inline); at zero — and always in
-  /// serial mode, where parallelDepth_ is 0 — the loop below is the exact
-  /// pre-concurrency recursion.  The budget is spent per *materialized*
-  /// recursion step: a skip prefix shared by both operands is handled O(1)
-  /// here (never recursed into), so the cutoff measures effective depth.
-  ///
   /// Skip-level edges (matrix arity only): operands may be implicit
   /// identities — terminal, or skipping past the level where the other
   /// operand has its node.  The recursion descends to the highest
@@ -1088,7 +993,7 @@ private:
   /// for a given (node, weight) operand pair the core level is determined,
   /// and the cached entry is always the core-level result.
   template <class EdgeT>
-  [[nodiscard]] EdgeT addImpl(const EdgeT& a, const EdgeT& b, std::size_t depth = 0) {
+  [[nodiscard]] EdgeT addImpl(const EdgeT& a, const EdgeT& b) {
     if (system_.isZero(a.w)) {
       return b;
     }
@@ -1135,17 +1040,8 @@ private:
       return EdgeT{nullptr, system_.zero()};
     };
     std::array<EdgeT, N> children;
-    const auto computeRange = [&](std::size_t begin, std::size_t end, std::size_t d) {
-      for (std::size_t i = begin; i < end; ++i) {
-        children[i] = addImpl(childOf(x, i), childOf(y, i), d);
-      }
-    };
-    if (depth != 0) {
-      const std::size_t d = depth - 1;
-      exec::forkJoin(
-          executor_, [&]() { computeRange(0, N / 2, d); }, [&]() { computeRange(N / 2, N, d); });
-    } else {
-      computeRange(0, N, 0);
+    for (std::size_t i = 0; i < N; ++i) {
+      children[i] = addImpl(childOf(x, i), childOf(y, i));
     }
     const EdgeT result = makeNode<EdgeT, N>(core, children);
     if (cache.insert(key, result)) {
@@ -1156,10 +1052,7 @@ private:
 
   /// Matrix-vector (result arity 2) and matrix-matrix (result arity 4)
   /// product through one recursion: the result has 2 rows and
-  /// N/2 columns, each entry a sum of two partial products.  Forks split the
-  /// two result rows (each row's products + additions form one task); the
-  /// fork budget decrements per materialized level only (skip prefixes are
-  /// fast-forwarded below), so the cutoff is an effective depth.
+  /// N/2 columns, each entry a sum of two partial products.
   ///
   /// Skip-level handling — the heart of the O(active qubits) gate apply:
   ///  - a terminal matrix operand is w·I over every remaining level, so
@@ -1176,7 +1069,7 @@ private:
   /// is materialized at core, so the cached entry is always the
   /// core-entering result for that pair (prefixes of any length share it).
   template <class REdge>
-  [[nodiscard]] REdge multiplyImpl(const MEdge& m, const REdge& v, std::size_t depth = 0) {
+  [[nodiscard]] REdge multiplyImpl(const MEdge& m, const REdge& v) {
     if (system_.isZero(m.w) || system_.isZero(v.w)) {
       return REdge{nullptr, system_.zero()};
     }
@@ -1223,20 +1116,12 @@ private:
                                     : REdge{nullptr, system_.zero()};
     };
     std::array<REdge, N> children;
-    const auto computeRow = [&](std::size_t row, std::size_t d) {
+    for (std::size_t row = 0; row < 2; ++row) {
       for (std::size_t col = 0; col < cols; ++col) {
-        const REdge p0 = multiplyImpl(mChild(2 * row), vChild(col), d);
-        const REdge p1 = multiplyImpl(mChild(2 * row + 1), vChild(cols + col), d);
-        children[cols * row + col] = addImpl(p0, p1, d);
+        const REdge p0 = multiplyImpl(mChild(2 * row), vChild(col));
+        const REdge p1 = multiplyImpl(mChild(2 * row + 1), vChild(cols + col));
+        children[cols * row + col] = addImpl(p0, p1);
       }
-    };
-    if (depth != 0) {
-      const std::size_t d = depth - 1;
-      exec::forkJoin(
-          executor_, [&]() { computeRow(0, d); }, [&]() { computeRow(1, d); });
-    } else {
-      computeRow(0, 0);
-      computeRow(1, 0);
     }
     const REdge result = makeNode<REdge, N>(core, children);
     if (cache.insert(key, result)) {
@@ -1252,7 +1137,7 @@ private:
   /// context level so the graft point is known (their canonical var of 0
   /// carries no position).
   template <class EdgeT>
-  [[nodiscard]] EdgeT kroneckerImpl(const EdgeT& top, const EdgeT& bottom, std::size_t depth = 0) {
+  [[nodiscard]] EdgeT kroneckerImpl(const EdgeT& top, const EdgeT& bottom) {
     constexpr std::size_t N = EdgeT::Node::kBranching;
     if (system_.isZero(top.w) || system_.isZero(bottom.w)) {
       return EdgeT{nullptr, system_.zero()};
@@ -1278,21 +1163,12 @@ private:
     cacheStats.misses.inc();
     const EdgeT stripBottom{bottom.node, system_.one(), bottom.var};
     std::array<EdgeT, N> children;
-    const auto computeRange = [&](std::size_t begin, std::size_t end, std::size_t d) {
-      for (std::size_t i = begin; i < end; ++i) {
-        EdgeT child = top.node->e[i];
-        if (child.isTerminal()) {
-          child.var = top.node->var + 1; // actual context of this terminal
-        }
-        children[i] = kroneckerImpl(child, stripBottom, d);
+    for (std::size_t i = 0; i < N; ++i) {
+      EdgeT child = top.node->e[i];
+      if (child.isTerminal()) {
+        child.var = top.node->var + 1; // actual context of this terminal
       }
-    };
-    if (depth != 0) {
-      const std::size_t d = depth - 1;
-      exec::forkJoin(
-          executor_, [&]() { computeRange(0, N / 2, d); }, [&]() { computeRange(N / 2, N, d); });
-    } else {
-      computeRange(0, N, 0);
+      children[i] = kroneckerImpl(child, stripBottom);
     }
     const EdgeT result = makeNode<EdgeT, N>(top.node->var, children);
     if (cache.insert(key, result)) {
@@ -1421,11 +1297,6 @@ private:
     auto& unique = uniqueFor<EdgeT>();
     obs::UniqueTableStats& tableStats = uniqueStatsFor<EdgeT>();
     const std::uint64_t contentHash = hashNodeContents(var, children);
-    // In concurrent mode the whole find-or-insert sequence holds the bucket's
-    // stripe lock, making the probe-then-link atomic per bucket; the guard is
-    // a no-op handle in serial mode.  Lock order: stripe before the arena's
-    // refill mutex (mem.get may refill), never the reverse.
-    const auto stripe = unique.lockStripe(contentHash);
     tableStats.lookups.inc();
     if (auto* existing = unique.find(var, children, contentHash)) {
       tableStats.hits.inc();
@@ -1443,32 +1314,18 @@ private:
     } else {
       stats_.nodeAllocations.inc();
     }
-    auto* node = concurrent_ ? mem.get(exec::workerSlot()) : mem.get();
+    auto* node = mem.get();
     node->var = var;
     node->ref = 0;
-    node->seq = concurrent_
-                    ? std::atomic_ref<std::uint64_t>(nodeSeq_).fetch_add(
-                          1, std::memory_order_relaxed)
-                    : nodeSeq_++;
+    node->seq = nodeSeq_++;
     node->e = children;
     for (const EdgeT& child : children) {
       if (child.node != nullptr) {
-        if (concurrent_) {
-          // Another worker interning a sibling node may bump the same child
-          // concurrently; the count itself is only *read* at quiescent
-          // points (GC sweep), so relaxed is enough.
-          std::atomic_ref<std::uint32_t>(child.node->ref)
-              .fetch_add(1, std::memory_order_relaxed);
-        } else {
-          ++child.node->ref;
-        }
+        ++child.node->ref;
       }
     }
     unique.insert(node, contentHash);
-    if (!concurrent_ && !peakSampleSuppressed_) {
-      // Concurrent mode samples the peak once per outermost kernel exit
-      // (KernelScope) instead of per insert — the gauge is monotone, so the
-      // only loss is intra-kernel resolution.
+    if (!peakSampleSuppressed_) {
       peakNodes_ = std::max(peakNodes_, allocatedNodes());
     }
     return EdgeT{node, factor};
@@ -1544,12 +1401,10 @@ private:
     CacheKind kind;
     void (*clear)(Package&);
     void (*setLossless)(Package&, bool);
-    void (*setConcurrent)(Package&, bool);
   };
   template <auto MemberPtr> static constexpr CacheRegistryEntry registryEntry(CacheKind kind) {
     return {kind, [](Package& p) { (p.*MemberPtr).clear(); },
-            [](Package& p, bool on) { (p.*MemberPtr).setLossless(on); },
-            [](Package& p, bool on) { (p.*MemberPtr).setConcurrent(on); }};
+            [](Package& p, bool on) { (p.*MemberPtr).setLossless(on); }};
   }
   static constexpr std::array<CacheRegistryEntry, 9> kCacheRegistry{{
       registryEntry<&Package::vAddCache_>(CacheKind::VAdd),
@@ -1572,22 +1427,16 @@ private:
   UniqueTable<VNode> vUnique_;
   UniqueTable<MNode> mUnique_;
   std::size_t peakNodes_ = 0;
-  /// True while prune() rebuilds: per-insert peak samples are suppressed so
-  /// the gauge keeps the same (end-of-rebuild) resolution in serial and
-  /// concurrent mode — the byte-identity contract covers the peak column.
+  /// True while prune() rebuilds: the peak gauge samples once at the end of
+  /// the rebuild instead of per insert (see prune()).
   bool peakSampleSuppressed_ = false;
-  std::uint64_t nodeSeq_ = 0; ///< next insert serial (atomic_ref'd when concurrent)
+  std::uint64_t nodeSeq_ = 0; ///< next insert serial (Node::seq)
 
   std::size_t gcWatermark_ = 0;
   std::size_t gcRuns_ = 0;
   GcReport lastGcReport_{};
 
-  exec::ThreadPool* executor_ = nullptr;     ///< kernel fork target (not owned)
-  std::size_t configParallelDepth_ = 0;      ///< Config::parallelDepth (0 = derive)
-  std::size_t parallelDepth_ = 0;            ///< active fork cutoff (0 = serial)
-  bool concurrent_ = false;                  ///< kernels run the parallel paths
-  int activeKernels_ = 0;                    ///< KernelScope nesting depth
-  bool skipIdentities_ = true;               ///< Config::skipIdentities (matrix skip edges)
+  bool skipIdentities_ = true; ///< Config::skipIdentities (matrix skip edges)
 
   mutable std::uint64_t visitEpoch_ = 0; ///< current traversal generation
 

@@ -10,29 +10,13 @@
 /// place and handed back to the caller (which returns them to the memory
 /// manager), iterating until no more nodes die — freeing a node decrements
 /// its children, which may become dead in turn.
-///
-/// Concurrent mode (setConcurrent): the parallel fork-join kernels intern
-/// nodes from every worker, so the bucket array is guarded by a fixed set of
-/// 64 *stripe* mutexes — bucket `b` belongs to stripe `b & 63`, and a caller
-/// brackets its find-or-insert sequence with lockStripe(contentHash), making
-/// the probe-then-link atomic per bucket while leaving the memory layout
-/// (bucket array, chains, growth thresholds) byte-identical to the serial
-/// table.  Growth cannot rehash under a single stripe lock, so a load-factor
-/// breach during kernels only sets a pending flag; the package applies it at
-/// the next quiescent point via growIfPending() — the GC sweep is likewise a
-/// quiescent-point (stop-the-world) operation and takes no locks.  In serial
-/// mode lockStripe is a no-op and nothing here costs a single atomic RMW
-/// beyond the size counter.
 #pragma once
 
 #include "core/dd_node.hpp"
 
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 namespace qadd::dd {
@@ -45,72 +29,12 @@ public:
   /// Grow (double) when size exceeds buckets * kMaxLoadNumer / kMaxLoadDenom.
   static constexpr std::size_t kMaxLoadNumer = 3;
   static constexpr std::size_t kMaxLoadDenom = 4;
-  /// Stripe-mutex count of the concurrent mode (power of two).
-  static constexpr std::size_t kStripes = 64;
 
   explicit UniqueTable(std::size_t initialBuckets = kDefaultInitialBuckets)
       : buckets_(roundUpToPowerOfTwo(initialBuckets), nullptr) {}
 
   UniqueTable(const UniqueTable&) = delete;
   UniqueTable& operator=(const UniqueTable&) = delete;
-
-  /// RAII stripe lock; a no-op handle in serial mode.
-  class StripeGuard {
-  public:
-    explicit StripeGuard(std::mutex* mutex) : mutex_(mutex) {
-      if (mutex_ != nullptr) {
-        mutex_->lock();
-      }
-    }
-    ~StripeGuard() {
-      if (mutex_ != nullptr) {
-        mutex_->unlock();
-      }
-    }
-    StripeGuard(const StripeGuard&) = delete;
-    StripeGuard& operator=(const StripeGuard&) = delete;
-    StripeGuard(StripeGuard&& other) noexcept : mutex_(other.mutex_) { other.mutex_ = nullptr; }
-    StripeGuard& operator=(StripeGuard&&) = delete;
-
-  private:
-    std::mutex* mutex_;
-  };
-
-  /// Enable/disable the striped-locking protocol.  Quiescent-point only (no
-  /// concurrent callers while switching).  Lock order where it matters:
-  /// stripe mutex before any arena-refill mutex (makeNode allocates while
-  /// holding its stripe), never the reverse.
-  void setConcurrent(bool concurrent) {
-    if (concurrent && stripes_ == nullptr) {
-      stripes_ = std::make_unique<std::mutex[]>(kStripes);
-    }
-    concurrent_ = concurrent;
-  }
-  [[nodiscard]] bool concurrent() const { return concurrent_; }
-
-  /// Lock the stripe owning `contentHash`'s bucket for a find-or-insert
-  /// sequence.  No-op in serial mode.
-  [[nodiscard]] StripeGuard lockStripe(std::uint64_t contentHash) {
-    return StripeGuard(concurrent_ ? &stripes_[stripeOf(contentHash)] : nullptr);
-  }
-
-  /// Apply a growth request deferred by a kernel-mode insert.  Quiescent-
-  /// point only.  Returns true iff a rehash ran.
-  bool growIfPending() {
-    if (!pendingGrowth_.load(std::memory_order_relaxed)) {
-      return false;
-    }
-    pendingGrowth_.store(false, std::memory_order_relaxed);
-    std::size_t target = buckets_.size();
-    while (size() * kMaxLoadDenom > target * kMaxLoadNumer) {
-      target *= 2;
-    }
-    if (target == buckets_.size()) {
-      return false;
-    }
-    rehash(target);
-    return true;
-  }
 
   /// Content hash used for both find() and insert().
   [[nodiscard]] static std::uint64_t hash(Qubit var, const std::array<EdgeT, kBranching>& children) {
@@ -135,36 +59,24 @@ public:
   }
 
   /// Link a (freshly initialized, not yet present) node into the table.
-  /// Grows and rehashes first when the load factor would be exceeded — in
-  /// concurrent mode the rehash is deferred (growIfPending) because it would
-  /// need every stripe at once; the caller must hold the content hash's
-  /// stripe lock there.
+  /// Grows and rehashes first when the load factor would be exceeded.
   void insert(NodeT* node, std::uint64_t contentHash) {
-    if ((size() + 1) * kMaxLoadDenom > buckets_.size() * kMaxLoadNumer) {
-      if (concurrent_) {
-        pendingGrowth_.store(true, std::memory_order_relaxed);
-      } else {
-        rehash(buckets_.size() * 2);
-      }
+    if ((size_ + 1) * kMaxLoadDenom > buckets_.size() * kMaxLoadNumer) {
+      rehash(buckets_.size() * 2);
     }
     NodeT*& bucket = buckets_[indexOf(contentHash)];
     node->next = bucket;
     bucket = node;
-    if (concurrent_) {
-      size_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      size_.store(size() + 1, std::memory_order_relaxed);
-    }
+    ++size_;
   }
 
-  /// Number of nodes stored.  Safe to read while kernels are interning (the
-  /// `--timeline` fill gauge); the value is then approximate by design.
-  [[nodiscard]] std::size_t size() const { return size_.load(std::memory_order_relaxed); }
+  /// Number of nodes stored.
+  [[nodiscard]] std::size_t size() const { return size_; }
   /// Number of hash buckets (a power of two).
   [[nodiscard]] std::size_t bucketCount() const { return buckets_.size(); }
   /// Load factor entries / buckets.
   [[nodiscard]] double loadFactor() const {
-    return static_cast<double>(size()) / static_cast<double>(buckets_.size());
+    return static_cast<double>(size_) / static_cast<double>(buckets_.size());
   }
 
   /// Visit every stored node.
@@ -198,7 +110,7 @@ public:
               }
             }
             release(node);
-            size_.store(size() - 1, std::memory_order_relaxed);
+            --size_;
             ++swept;
             changed = true;
           } else {
@@ -213,13 +125,6 @@ public:
 private:
   [[nodiscard]] std::size_t indexOf(std::uint64_t contentHash) const {
     return static_cast<std::size_t>(contentHash) & (buckets_.size() - 1);
-  }
-
-  /// Stripe owning a content hash's bucket.  Derived from the bucket index,
-  /// so two hashes landing in the same bucket always share a stripe; the
-  /// mapping only shifts across rehashes, which are quiescent-point events.
-  [[nodiscard]] std::size_t stripeOf(std::uint64_t contentHash) const {
-    return indexOf(contentHash) & (kStripes - 1);
   }
 
   [[nodiscard]] static std::size_t roundUpToPowerOfTwo(std::size_t n) {
@@ -245,10 +150,7 @@ private:
   }
 
   std::vector<NodeT*> buckets_;
-  std::atomic<std::size_t> size_{0};
-  std::unique_ptr<std::mutex[]> stripes_; ///< allocated on first setConcurrent(true)
-  std::atomic<bool> pendingGrowth_{false};
-  bool concurrent_ = false;
+  std::size_t size_ = 0;
 };
 
 } // namespace qadd::dd

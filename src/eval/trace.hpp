@@ -15,10 +15,6 @@
 #include <string>
 #include <vector>
 
-namespace qadd::exec {
-class ThreadPool; // exec/thread_pool.hpp (kept out of this header's includes)
-}
-
 namespace qadd::eval {
 
 struct TracePoint {
@@ -38,8 +34,7 @@ struct TracePoint {
 /// evaluation in one value: ε (the numeric tolerance knob), the mantissa
 /// width (double vs long double), and the fidelity-bounded approximation
 /// spec (dd::ApproxSpec — {} means exact-structure simulation, the historic
-/// behaviour).  Field order keeps `{epsilon, extendedPrecision}` aggregate
-/// initializers source-compatible with the deprecated SweepPoint.
+/// behaviour).
 struct RunSpec {
   /// Numeric-table tolerance (0 = bit-exact interning).
   double epsilon = 0.0;
@@ -100,12 +95,6 @@ struct TraceOptions {
   /// excluded from the trace's timed sections, like sampling.
   std::size_t checkpointEvery = 0;
   std::string checkpointPathPrefix = "checkpoint_g";
-  /// Thread pool the DD kernels of this trace fork onto (intra-operation
-  /// parallelism; see dd::Package::setExecutor).  nullptr = serial kernels.
-  /// Value columns stay byte-identical to a serial run whenever the package
-  /// engages concurrency at all (it only does so for order-independent
-  /// systems); only time/hit-rate columns may move.
-  exec::ThreadPool* kernelPool = nullptr;
 };
 
 /// Simulate with the exact algebraic QMDD, recording size/time/bit widths and

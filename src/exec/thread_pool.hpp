@@ -15,11 +15,9 @@
 /// the algebraic small-path tallies (atomic).
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -39,16 +37,6 @@ namespace qadd::exec {
 /// True on a thread that is currently executing a pool task.  Used by
 /// parallelFor() as its deadlock guard.
 [[nodiscard]] bool onWorkerThread();
-
-/// Dense per-thread arena slot: 0 on any external thread, `1..workers()` on
-/// the worker threads of a pool.  The slot is what makes per-worker arena
-/// allocation (core/memory_manager.hpp) contention-free: every thread that
-/// can participate in one package's fork-join kernels — the single external
-/// caller (slot 0) plus the workers of the one pool the package was bound to
-/// via Package::setExecutor — owns a distinct slot.  A package must never be
-/// driven through two different pools at once; slot numbers are only unique
-/// within one pool.
-[[nodiscard]] std::size_t workerSlot();
 
 class ThreadPool {
 public:
@@ -82,9 +70,8 @@ public:
   }
 
   /// Enqueue a fire-and-forget task: no future, no packaged_task allocation.
-  /// The caller is responsible for its own completion signalling — this is
-  /// the building block of forkJoin(), which needs exactly that freedom on
-  /// the hot kernel-recursion path.
+  /// The caller is responsible for its own completion signalling (the serve
+  /// job queue chains its dispatch loop through it).
   void submitDetached(std::function<void()> fn);
 
 private:
@@ -107,86 +94,5 @@ private:
 /// lowest throwing index is then rethrown, so error reporting does not
 /// depend on completion order.
 void parallelFor(ThreadPool* pool, std::size_t n, const std::function<void(std::size_t)>& fn);
-
-namespace detail {
-
-/// Join state of one forked task.  `phase` is the claim token: 0 = still
-/// queued (either side may claim it with a CAS and run it inline), 1 =
-/// claimed.  `done`/`cv` signal completion of a worker-side run.
-struct ForkState {
-  std::atomic<int> phase{0};
-  std::exception_ptr error;
-  std::mutex m;
-  std::condition_variable cv;
-  bool done = false;
-};
-
-} // namespace detail
-
-/// Run `a` and `b` as a fork-join pair and return when **both** completed:
-/// `a` is enqueued on the pool, `b` runs inline on the caller, then the
-/// caller *steals `a` back* (one CAS) if no worker has picked it up yet and
-/// runs it inline too.  The caller therefore only ever blocks on an `a` that
-/// is actively executing on a worker — never on a queued task — which makes
-/// nested forkJoin calls from inside workers deadlock-free: every wait
-/// targets a strictly deeper, running fork.
-///
-/// Serial fallback (`pool == nullptr`): `a(); b();` inline — byte-identical
-/// to the plain recursion, which is what keeps `--jobs 1` kernels exactly on
-/// the pre-parallelism path.
-///
-/// Exceptions: both branches always complete (or are stolen back and run);
-/// if both throw, `a`'s exception wins — deterministic regardless of
-/// scheduling.
-template <class FnA, class FnB> void forkJoin(ThreadPool* pool, FnA&& a, FnB&& b) {
-  if (pool == nullptr) {
-    a();
-    b();
-    return;
-  }
-  auto state = std::make_shared<detail::ForkState>();
-  // `a` is captured by reference: the caller's frame outlives the join below.
-  pool->submitDetached([state, &a]() {
-    int expected = 0;
-    if (!state->phase.compare_exchange_strong(expected, 1, std::memory_order_acq_rel)) {
-      return; // the caller stole the task back and ran it inline
-    }
-    try {
-      a();
-    } catch (...) {
-      state->error = std::current_exception();
-    }
-    {
-      const std::lock_guard<std::mutex> lock(state->m);
-      state->done = true;
-    }
-    state->cv.notify_all();
-  });
-  std::exception_ptr errorB;
-  try {
-    b();
-  } catch (...) {
-    errorB = std::current_exception();
-  }
-  int expected = 0;
-  if (state->phase.compare_exchange_strong(expected, 1, std::memory_order_acq_rel)) {
-    // Still queued: run `a` here.  The queued wrapper will see phase == 1
-    // and return without touching `state->error` or `done`.
-    try {
-      a();
-    } catch (...) {
-      state->error = std::current_exception();
-    }
-  } else {
-    std::unique_lock<std::mutex> lock(state->m);
-    state->cv.wait(lock, [&state]() { return state->done; });
-  }
-  if (state->error != nullptr) {
-    std::rethrow_exception(state->error);
-  }
-  if (errorB != nullptr) {
-    std::rethrow_exception(errorB);
-  }
-}
 
 } // namespace qadd::exec

@@ -302,11 +302,11 @@ template <class System, class EdgeT>
   // Used weights.  Order-dependent (tolerance-mode) systems dump sorted
   // ascending by handle — the original interning order — so a reload into a
   // fresh table replays the same unification decisions.  Order-independent
-  // systems dump in first-use order of the topological walk instead: their
-  // handle values shift with kernel scheduling under the parallel kernels,
-  // but the walk depends only on the DD itself, so snapshot bytes stay
-  // identical between serial and parallel runs (reload order is immaterial
-  // when interning is exact).
+  // systems dump in first-use order of the topological walk instead: handle
+  // values are not part of the DD (they record what else the package
+  // interned before), while the walk depends only on the DD itself, and the
+  // snapshot goldens pin these bytes (reload order is immaterial when
+  // interning is exact).
   std::vector<Weight> dumpOrder;
   std::unordered_map<Weight, std::uint64_t> weightIndex;
   auto noteWeight = [&](Weight handle) {

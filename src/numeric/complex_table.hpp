@@ -19,17 +19,13 @@
 /// double backs the precision-scaling experiment).
 #pragma once
 
-#include "core/stable_vector.hpp"
 #include "numeric/complex_value.hpp"
 #include "obs/stats.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <mutex>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -67,23 +63,8 @@ public:
   BasicComplexTable(const BasicComplexTable&) = delete;
   BasicComplexTable& operator=(const BasicComplexTable&) = delete;
 
-  /// Enable/disable concurrent interning (quiescent-point only).  Only the
-  /// bit-exact mode supports it: concurrent lookups serialize on one mutex
-  /// while value(ref) reads stay lock-free (entries_ is a StableVector, so
-  /// published refs never move).  Tolerance mode is insertion-order
-  /// dependent and must stay serial — the package never requests otherwise.
-  void setConcurrent(bool concurrent) {
-    assert((!concurrent || exactMode_) && "concurrent interning requires exact mode");
-    concurrent_ = concurrent;
-  }
-  [[nodiscard]] bool concurrent() const { return concurrent_; }
-
   /// Canonical handle for `value`, unifying within the tolerance.
   [[nodiscard]] ComplexRef lookup(Value value) {
-    std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
-    if (concurrent_) {
-      lock.lock();
-    }
     if (exactMode_) {
       if (epsilon_ > 0) {
         if (Value::approxEqual(value, Value::zero(), epsilon_)) {
@@ -153,9 +134,7 @@ public:
   /// bit-identical — the paper's accuracy-loss event: information about the
   /// looked-up value is silently discarded.  Always 0 when telemetry is
   /// compiled out or ε == 0.
-  [[nodiscard]] std::uint64_t nearMissUnifications() const {
-    return nearMisses_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t nearMissUnifications() const { return nearMisses_; }
 
   /// Histogram of bucket occupancy: result[k] = number of hash buckets
   /// (spatial-grid cells in tolerance mode, bit-pattern buckets in exact
@@ -184,8 +163,7 @@ private:
   void noteUnification(ComplexRef ref, Value value) {
     if constexpr (qadd::obs::kEnabled) {
       if (!(entries_[ref] == value)) {
-        nearMisses_.store(nearMisses_.load(std::memory_order_relaxed) + 1,
-                          std::memory_order_relaxed);
+        ++nearMisses_;
       }
     } else {
       (void)ref;
@@ -243,12 +221,8 @@ private:
   FloatT epsilon_;
   FloatT cell_;            // spatial-hash cell edge length (>= epsilon, > 0)
   bool exactMode_ = false; // epsilon below float resolution: bit-exact interning
-  bool concurrent_ = false;
-  std::atomic<std::uint64_t> nearMisses_{0};
-  std::mutex mutex_; ///< serializes lookup() in concurrent mode
-  /// Stable-address entry store: value(ref) is lock-free even while another
-  /// thread interns (chunks never move; size_ is a release/acquire fence).
-  dd::StableVector<Value> entries_;
+  std::uint64_t nearMisses_ = 0;
+  std::vector<Value> entries_;
   std::unordered_map<CellKey, std::vector<ComplexRef>, CellKeyHash> grid_;
   std::unordered_map<BitKey, std::vector<ComplexRef>, BitKeyHash> exact_;
 };

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -32,38 +31,21 @@ namespace qadd::obs {
 inline constexpr bool kEnabled = QADD_OBS != 0;
 
 /// Monotonic event counter; a no-op when telemetry is compiled out.
-///
-/// Storage is a relaxed atomic so counters touched from inside the parallel
-/// DD kernels (cache hits/misses, unique-table probes) can be read by the
-/// `--timeline` sampler and bumped by several workers without a data race.
-/// inc() is deliberately a relaxed load+store rather than a fetch_add: on the
-/// serial path it compiles to the same plain increment as before, and on the
-/// parallel path a concurrent increment may occasionally be lost — these are
-/// approximate scheduling-dependent event counts there anyway (they are
-/// exempt from the determinism contract, see docs/PARALLELISM.md), and the
-/// kernels won't pay a locked RMW per probe for them.
 struct Counter {
-  std::atomic<std::uint64_t> count{0};
-
-  Counter() = default;
-  Counter(const Counter& other) : count(other.value()) {}
-  Counter& operator=(const Counter& other) {
-    count.store(other.value(), std::memory_order_relaxed);
-    return *this;
-  }
+  std::uint64_t count = 0;
 
   void inc(std::uint64_t n = 1) {
     if constexpr (kEnabled) {
-      count.store(count.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+      count += n;
     } else {
       (void)n;
     }
   }
-  [[nodiscard]] std::uint64_t value() const { return count.load(std::memory_order_relaxed); }
-  explicit operator std::uint64_t() const { return value(); }
+  [[nodiscard]] std::uint64_t value() const { return count; }
+  explicit operator std::uint64_t() const { return count; }
 
   Counter& operator+=(const Counter& other) {
-    count.store(value() + other.value(), std::memory_order_relaxed);
+    count += other.count;
     return *this;
   }
 };

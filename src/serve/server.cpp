@@ -170,8 +170,7 @@ Server::Server(ServerConfig config) : config_(std::move(config)) {
   SessionManager::Limits limits;
   limits.maxSessions = config_.maxSessions;
   limits.memoryWatermarkNodes = config_.memoryWatermarkNodes;
-  sessions_ = std::make_unique<SessionManager>(limits,
-                                               config_.kernelParallel ? pool_.get() : nullptr);
+  sessions_ = std::make_unique<SessionManager>(limits);
   queue_ = std::make_unique<JobQueue>(*pool_, config_.maxQueueDepth);
   if (config_.resultCacheEntries != 0) {
     cache_ = std::make_unique<ResultCache>(config_.resultCacheEntries);

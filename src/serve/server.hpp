@@ -37,7 +37,6 @@ struct ServerConfig {
   double writeStallSeconds = 30.0;         ///< drop connections that stop reading (0 = never)
   std::size_t resultCacheEntries = 128;    ///< identical-job result cache size (0 = off)
   std::uint32_t maxAmplitudeQubits = 20;   ///< refuse 2^n amplitude dumps beyond this width
-  bool kernelParallel = false; ///< also fork DD kernels onto the pool (see docs/SERVE.md)
 };
 
 /// Monotonic counters exposed via /metrics; all relaxed (telemetry only).

@@ -117,39 +117,5 @@ TEST(ComputedTable, WorksWithWeightPairKeys) {
       << "the table itself is not commutative; callers order the operands";
 }
 
-TEST(ComputedTable, ConcurrentModeRoundTripsThroughSeqlock) {
-  SmallTable table;
-  table.setConcurrent(true);
-  EXPECT_TRUE(table.concurrent());
-  std::uint64_t out = 0;
-  EXPECT_FALSE(table.lookup(RawKey{1}, out));
-  EXPECT_FALSE(table.insert(RawKey{7}, 70));
-  ASSERT_TRUE(table.lookup(RawKey{7}, out));
-  EXPECT_EQ(out, 70U);
-  // Same-slot displacement still works (and still reports the eviction).
-  EXPECT_TRUE(table.insert(RawKey{7 + 64}, 99));
-  EXPECT_FALSE(table.lookup(RawKey{7}, out));
-  ASSERT_TRUE(table.lookup(RawKey{7 + 64}, out));
-  EXPECT_EQ(out, 99U);
-  // Epoch clears behave identically in concurrent mode.
-  table.clear();
-  EXPECT_FALSE(table.lookup(RawKey{7 + 64}, out));
-}
-
-TEST(ComputedTable, SetConcurrentDropsExistingEntries) {
-  SmallTable table;
-  table.insert(RawKey{3}, 30);
-  table.setConcurrent(true);
-  // Entries written before the switch carry no sequence word, so the switch
-  // clears the table rather than serve unpublished slots.
-  std::uint64_t out = 0;
-  EXPECT_FALSE(table.lookup(RawKey{3}, out));
-  // Switching back to serial keeps working.
-  table.setConcurrent(false);
-  table.insert(RawKey{4}, 40);
-  ASSERT_TRUE(table.lookup(RawKey{4}, out));
-  EXPECT_EQ(out, 40U);
-}
-
 } // namespace
 } // namespace qadd::dd

@@ -136,77 +136,6 @@ TEST(ThreadPool, DefaultJobsHonoursEnvironment) {
   }
 }
 
-// -- forkJoin -------------------------------------------------------------------
-
-TEST(ForkJoin, SerialFallbackRunsBothBranchesInOrder) {
-  std::vector<int> trace;
-  exec::forkJoin(nullptr, [&]() { trace.push_back(1); }, [&]() { trace.push_back(2); });
-  EXPECT_EQ(trace, (std::vector<int>{1, 2})) << "nullptr pool must be the plain a(); b();";
-}
-
-TEST(ForkJoin, RunsBothBranchesOnPool) {
-  exec::ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  exec::forkJoin(&pool, [&]() { ran += 1; }, [&]() { ran += 2; });
-  EXPECT_EQ(ran.load(), 3);
-}
-
-TEST(ForkJoin, StealsQueuedTaskBackWhenWorkersAreBusy) {
-  exec::ThreadPool pool(1);
-  // Occupy the only worker so the forked branch can never be picked up.
-  std::promise<void> release;
-  auto gate = release.get_future().share();
-  auto busy = pool.submit([gate]() { gate.wait(); });
-  const auto caller = std::this_thread::get_id();
-  std::thread::id ranOn;
-  exec::forkJoin(&pool, [&]() { ranOn = std::this_thread::get_id(); }, []() {});
-  EXPECT_EQ(ranOn, caller) << "a queued fork must be stolen back, not waited on";
-  release.set_value();
-  busy.get();
-}
-
-TEST(ForkJoin, NestedForksJoinWithoutDeadlock) {
-  exec::ThreadPool pool(2);
-  // Binary recursion four levels deep: 2^4 leaves, every inner node a
-  // forkJoin — some branches run on workers, some are stolen back.
-  std::atomic<int> leaves{0};
-  auto recurse = [&](auto&& self, int depth) -> void {
-    if (depth == 0) {
-      ++leaves;
-      return;
-    }
-    exec::forkJoin(&pool, [&]() { self(self, depth - 1); }, [&]() { self(self, depth - 1); });
-  };
-  recurse(recurse, 4);
-  EXPECT_EQ(leaves.load(), 16);
-}
-
-TEST(ForkJoin, PropagatesExceptionFromForkedBranch) {
-  exec::ThreadPool pool(2);
-  EXPECT_THROW(exec::forkJoin(
-                   &pool, []() { throw std::runtime_error("a failed"); }, []() {}),
-               std::runtime_error);
-}
-
-TEST(ForkJoin, PropagatesExceptionFromInlineBranch) {
-  exec::ThreadPool pool(2);
-  EXPECT_THROW(exec::forkJoin(
-                   &pool, []() {}, []() { throw std::runtime_error("b failed"); }),
-               std::runtime_error);
-}
-
-TEST(ForkJoin, ForkedExceptionWinsWhenBothThrow) {
-  exec::ThreadPool pool(2);
-  try {
-    exec::forkJoin(
-        &pool, []() { throw std::runtime_error("a failed"); },
-        []() { throw std::logic_error("b failed"); });
-    FAIL() << "forkJoin swallowed both exceptions";
-  } catch (const std::runtime_error& error) {
-    EXPECT_STREQ(error.what(), "a failed") << "a's exception is the deterministic winner";
-  }
-}
-
 // -- PackageStats aggregation ---------------------------------------------------
 
 TEST(StatsMerge, CountersSumGaugesMax) {
@@ -409,7 +338,9 @@ eval::SweepSpec groverSweep() {
   sweep.options.sampleEvery = 7;
   sweep.options.captureFinalState = true;
   sweep.reference = eval::ReferencePolicy::Inline;
-  sweep.addEpsilons({0.0, 1e-10, 1e-5, 1e-3});
+  for (const double epsilon : {0.0, 1e-10, 1e-5, 1e-3}) {
+    sweep.addRun({.epsilon = epsilon});
+  }
   return sweep;
 }
 

@@ -158,7 +158,7 @@ TEST(ServeJobQueue, DispatchesByPriorityAndRejectsPastDepth) {
 TEST(ServeSession, PersistsIdleSessionsAndRestoresByteIdentically) {
   serve::SessionManager::Limits limits;
   limits.memoryWatermarkNodes = 1; // everything idle gets persisted
-  serve::SessionManager manager(limits, nullptr);
+  serve::SessionManager manager(limits);
 
   serve::SessionConfig config;
   config.system = "alg";
@@ -192,7 +192,7 @@ TEST(ServeSession, PersistsIdleSessionsAndRestoresByteIdentically) {
 TEST(ServeSession, OpenValidatesAndEnforcesLimits) {
   serve::SessionManager::Limits limits;
   limits.maxSessions = 1;
-  serve::SessionManager manager(limits, nullptr);
+  serve::SessionManager manager(limits);
   serve::SessionConfig config;
   config.name = "s";
   config.qubits = 2;
